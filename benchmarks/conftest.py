@@ -6,7 +6,9 @@ work for a pure-Python simulator — the benchmarks default to a scaled-down
 topology that preserves the structural properties (tiered, geo-embedded,
 multi-PoP) and therefore the *shape* of the results.  Set the environment
 variable ``IREC_BENCH_SCALE=paper`` to run the full 500-AS configuration,
-or ``IREC_BENCH_SCALE=medium`` for an intermediate size.
+or ``medium``/``large`` for an intermediate size; the presets are
+:func:`repro.topology.generator.scale_config`, shared with
+``run_benchmarks.py``.
 """
 
 from __future__ import annotations
@@ -15,46 +17,17 @@ import os
 
 import pytest
 
-from repro.topology.generator import TopologyConfig, generate_topology, paper_scale_config
+from repro.topology.generator import TopologyConfig, generate_topology, scale_config
 
 
 def bench_scale() -> str:
-    """Return the configured benchmark scale (small / medium / paper)."""
+    """Return the configured benchmark scale (small / medium / large / paper)."""
     return os.environ.get("IREC_BENCH_SCALE", "small").lower()
 
 
 def bench_topology_config(seed: int = 7) -> TopologyConfig:
     """Return the topology configuration for the configured scale."""
-    scale = bench_scale()
-    if scale == "paper":
-        return paper_scale_config(seed=seed)
-    if scale == "medium":
-        return TopologyConfig(
-            num_ases=120,
-            num_core=6,
-            num_transit=30,
-            core_parallel_links=2,
-            transit_provider_count=3,
-            stub_provider_count=2,
-            peering_probability=0.1,
-            max_pops_core=6,
-            max_pops_transit=3,
-            max_pops_stub=2,
-            seed=seed,
-        )
-    return TopologyConfig(
-        num_ases=30,
-        num_core=4,
-        num_transit=9,
-        core_parallel_links=2,
-        transit_provider_count=2,
-        stub_provider_count=2,
-        peering_probability=0.15,
-        max_pops_core=5,
-        max_pops_transit=3,
-        max_pops_stub=1,
-        seed=seed,
-    )
+    return scale_config(bench_scale(), seed=seed)
 
 
 def simulation_periods() -> int:

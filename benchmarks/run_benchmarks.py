@@ -54,15 +54,6 @@ Stages
                               (the default) and once in per-message mode
                               (``batch_size=1``); reports messages/s for
                               both plus the batch speedup (added in PR 5),
-* ``parallel_e2e``          — the same end-to-end beaconing workload as
-                              ``beaconing_e2e``, run through the sharded
-                              coordinator (``--workers`` shard processes
-                              over the message fabric).  The stage asserts
-                              that the sharded run transmitted *exactly*
-                              as many PCBs as the single-process stage —
-                              the equality the golden-digest tests pin —
-                              and reports the interleaved same-machine
-                              speedup against it (added in PR 10),
 * ``path_query``            — the path-query serving tier: after a warmed
                               beaconing run, every AS's
                               ``PathQueryFrontend`` serves a pinned mix of
@@ -113,7 +104,7 @@ from repro.obs import spans
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import random_link_failures
 from repro.simulation.scenario import don_scenario
-from repro.topology.generator import TopologyConfig, generate_topology, paper_scale_config
+from repro.topology.generator import SCALES, TopologyConfig, generate_topology, scale_config
 
 try:
     import resource
@@ -147,52 +138,10 @@ PARETO_ROUNDS = 3
 def scale_topology_config(scale: str, seed: int = 7) -> TopologyConfig:
     """Return the pinned topology configuration for ``scale``.
 
-    Mirrors ``benchmarks/conftest.py`` (kept in sync by hand; the harness
-    must stay importable without pytest).
+    The presets live in :func:`repro.topology.generator.scale_config`,
+    shared with ``benchmarks/conftest.py`` and the experiment sweeps.
     """
-    if scale == "paper":
-        return paper_scale_config(seed=seed)
-    if scale == "large":
-        return TopologyConfig(
-            num_ases=260,
-            num_core=8,
-            num_transit=64,
-            core_parallel_links=2,
-            transit_provider_count=3,
-            stub_provider_count=2,
-            peering_probability=0.08,
-            max_pops_core=6,
-            max_pops_transit=3,
-            max_pops_stub=2,
-            seed=seed,
-        )
-    if scale == "medium":
-        return TopologyConfig(
-            num_ases=120,
-            num_core=6,
-            num_transit=30,
-            core_parallel_links=2,
-            transit_provider_count=3,
-            stub_provider_count=2,
-            peering_probability=0.1,
-            max_pops_core=6,
-            max_pops_transit=3,
-            max_pops_stub=2,
-            seed=seed,
-        )
-    return TopologyConfig(
-        num_ases=30,
-        num_core=4,
-        num_transit=9,
-        core_parallel_links=2,
-        transit_provider_count=2,
-        stub_provider_count=2,
-        peering_probability=0.15,
-        max_pops_core=5,
-        max_pops_transit=3,
-        max_pops_stub=2,
-        seed=seed,
-    )
+    return scale_config(scale, seed)
 
 
 def _staged(run):
@@ -304,57 +253,6 @@ def stage_beaconing_e2e(scale: str, periods: int) -> dict:
         "ingress": stats_totals,
         "crypto_ops": counters,
     }
-
-
-def stage_parallel_e2e(scale: str, periods: int, workers: int, report: dict) -> dict:
-    """Sharded end-to-end beaconing: the ``beaconing_e2e`` workload over
-    ``workers`` shard processes, A/B'd against the single-process stage.
-
-    The single-process ``beaconing_e2e`` stage of the *same harness run*
-    is the baseline — interleaved on the same machine, same topology
-    seed, same periods — so the reported ``speedup_vs_single`` is a real
-    like-for-like number, not a cross-run comparison.  The PCB count must
-    match the single-process stage exactly (the sharded protocol is
-    bit-deterministic); a mismatch fails the whole harness.
-    """
-    from repro.parallel import ShardedBeaconingSimulation
-
-    topology = generate_topology(scale_topology_config(scale))
-
-    def run():
-        # Construction (partitioning + worker forking) is inside the timed
-        # window: spawn cost is part of what a user of --workers pays.
-        simulation = ShardedBeaconingSimulation(
-            topology,
-            don_scenario(periods=periods, verify_signatures=True),
-            workers=workers,
-        )
-        return simulation, simulation.run()
-
-    (simulation, result), wall_s, counters = _staged(run)
-    entry = {
-        "wall_s": wall_s,
-        "workers": workers,
-        "shard_count": sum(1 for shard in simulation.partition.shards if shard),
-        "periods": result.periods_run,
-        "pcbs_sent": result.collector.total_sent,
-        "beacons_per_s": result.collector.total_sent / wall_s if wall_s > 0 else 0.0,
-        "coordinator": simulation.counters(),
-        "worker_utilization": simulation.utilization(),
-        "crypto_ops": counters,
-    }
-    single = report["stages"].get("beaconing_e2e")
-    if single is not None:
-        if single["pcbs_sent"] != entry["pcbs_sent"]:
-            raise AssertionError(
-                "sharded run diverged from single-process: "
-                f"pcbs_sent {entry['pcbs_sent']} != {single['pcbs_sent']}"
-            )
-        entry["single_wall_s"] = single["wall_s"]
-        entry["speedup_vs_single"] = (
-            single["wall_s"] / wall_s if wall_s > 0 else 0.0
-        )
-    return entry
 
 
 def stage_dynamic_convergence(scale: str, periods: int) -> dict:
@@ -972,14 +870,13 @@ def git_revision() -> dict:
         return {"git_sha": None}
 
 
-def run_all(scale: str, periods: int, profile: bool = False, workers: int = 1) -> dict:
+def run_all(scale: str, periods: int, profile: bool = False) -> dict:
     report = {
         "meta": {
-            "harness": "run_benchmarks.py v5 (PR 10)",
+            "harness": "run_benchmarks.py v6",
             "scale": scale,
             "periods": periods,
             "profile": profile,
-            "workers": workers,
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "unix_time": time.time(),
@@ -992,7 +889,6 @@ def run_all(scale: str, periods: int, profile: bool = False, workers: int = 1) -
         ("fig7_rac_throughput", stage_fig7_rac_throughput),
         ("pareto_frontier", stage_pareto_frontier),
         ("beaconing_e2e", lambda: stage_beaconing_e2e(scale, periods)),
-        ("parallel_e2e", lambda: stage_parallel_e2e(scale, periods, workers, report)),
         ("dynamic_convergence", lambda: stage_dynamic_convergence(scale, periods)),
         ("revocation", lambda: stage_revocation(scale)),
         ("message_fabric", lambda: stage_message_fabric(scale)),
@@ -1036,15 +932,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scale",
         default=os.environ.get("IREC_BENCH_SCALE", "medium"),
-        choices=("small", "medium", "large", "paper"),
+        choices=SCALES,
         help="end-to-end simulation scale (default: IREC_BENCH_SCALE or medium)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("IREC_BENCH_WORKERS", "2")),
-        help="shard worker processes for the parallel_e2e stage "
-        "(default: IREC_BENCH_WORKERS or 2)",
     )
     parser.add_argument(
         "--periods", type=int, default=3, help="beaconing periods for the e2e stage"
@@ -1088,7 +977,7 @@ def main(argv=None) -> int:
                 flush=True,
             )
 
-    report = run_all(args.scale, args.periods, profile=args.profile, workers=args.workers)
+    report = run_all(args.scale, args.periods, profile=args.profile)
     if baseline is not None:
         report["baseline_meta"] = baseline.get("meta", {})
         report["speedup_vs_baseline"] = compare_to_baseline(report, baseline)

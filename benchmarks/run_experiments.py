@@ -47,7 +47,6 @@ if __package__ is None or __package__ == "":
     sys.path.insert(0, _here)
 
 from result_logger import SCHEMA_VERSION, ResultLogger
-from run_benchmarks import scale_topology_config
 
 from repro.simulation.beaconing import BeaconingSimulation
 from repro.simulation.events import (
@@ -57,6 +56,7 @@ from repro.simulation.events import (
     growth_churn,
 )
 from repro.simulation.scenario import ScenarioConfig, dob_scenario, don_scenario
+from repro.topology import generator
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.graph import Topology
 from repro.traffic.demand import gravity_matrix
@@ -185,7 +185,8 @@ def scale_config(scale: str, seed: int) -> TopologyConfig:
     """Resolve a scale name to a topology config.
 
     ``tiny`` is sweep-local (fast enough for 5 × 2 grids and CI smoke
-    runs); everything else defers to the benchmark harness.
+    runs); everything else is a shared benchmark preset
+    (:func:`repro.topology.generator.scale_config`).
     """
     if scale == "tiny":
         return TopologyConfig(
@@ -201,7 +202,7 @@ def scale_config(scale: str, seed: int) -> TopologyConfig:
             max_pops_stub=1,
             seed=seed,
         )
-    return scale_topology_config(scale, seed)
+    return generator.scale_config(scale, seed)
 
 
 # ----------------------------------------------------------------------

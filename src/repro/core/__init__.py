@@ -37,9 +37,10 @@ from repro.core.messages import (
     PathQueryResponse,
     PathRegistrationMessage,
     PullReturnMessage,
+    RevocationMessage,
 )
 from repro.core.query import PathQuery, PathQueryFrontend
-from repro.core.revocation import RevocationMessage, RevocationState
+from repro.core.revocation import RevocationState
 from repro.core.staticinfo import StaticInfo
 
 __all__ = [

@@ -39,8 +39,8 @@ Since the unified message fabric (:mod:`repro.core.messages`) the
 :class:`RevocationMessage` class itself lives there — a revocation is one
 typed control message among others, sharing the common envelope — and
 gained batching (several failed elements in one message), TTL and scope
-limiting.  This module keeps the per-service state and handler logic and
-re-exports the message class for backward compatibility.
+limiting.  This module keeps the per-service state and handler logic;
+import the message class from :mod:`repro.core.messages`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.topology.entities import LinkID
 
 __all__ = [
     "DEFAULT_DEDUP_WINDOW_MS",
-    "RevocationMessage",
     "RevocationState",
     "bounce_if_revoked",
     "handle_revocation",

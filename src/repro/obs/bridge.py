@@ -190,39 +190,6 @@ def bind_query_frontend(
     return registry
 
 
-def bind_parallel(coordinator, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Register a :class:`ShardedBeaconingSimulation`'s sync surfaces.
-
-    Coordinator-side only — per-shard metrics live in the worker
-    processes and arrive merged at gather time.  What the coordinator
-    can see live is the synchronization story: cross-shard traffic, time
-    spent blocked on worker replies, and per-worker utilization.
-    """
-    registry = registry if registry is not None else REGISTRY
-    gauge = registry.gauge
-
-    gauge("parallel.workers", help="shard worker processes",
-          fn=lambda: coordinator.workers)
-    gauge("parallel.lookahead_ms", help="conservative cross-shard lookahead (ms)",
-          fn=lambda: coordinator._lookahead_ms)
-    gauge("parallel.cross_shard_messages_total",
-          help="fabric messages exported across shard boundaries",
-          fn=lambda: coordinator.cross_shard_messages)
-    gauge("parallel.cross_shard_bytes_total",
-          help="serialized bytes shipped between shards",
-          fn=lambda: coordinator.cross_shard_bytes)
-    gauge("parallel.barrier_wait_s",
-          help="coordinator time spent blocked on worker replies",
-          fn=lambda: coordinator.barrier_wait_s)
-    gauge("parallel.worker_utilization", label="worker",
-          help="per-worker busy-time fraction since construction",
-          fn=lambda: {
-              str(index): value
-              for index, value in enumerate(coordinator.utilization())
-          })
-    return registry
-
-
 def bind_traffic_engine(engine, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Register a :class:`TrafficEngine`'s round stats; return the registry."""
     registry = registry if registry is not None else REGISTRY

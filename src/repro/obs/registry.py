@@ -79,22 +79,6 @@ class QuantileReservoir:
         """Return how many observations the reservoir currently retains."""
         return len(self._sample)
 
-    def merge_from(self, other: "QuantileReservoir") -> None:
-        """Fold another reservoir into this one (sharded-run aggregation).
-
-        Count, sum and max stay exact.  The merged sample concatenates
-        both samples up to capacity (deterministically, no RNG draw) —
-        exact while the combined stream fits, an approximation beyond,
-        which matches the reservoir's own guarantee.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.max_value > self.max_value:
-            self.max_value = other.max_value
-        room = self.capacity - len(self._sample)
-        if room > 0:
-            self._sample.extend(other._sample[:room])
-
     def quantile(self, q: float) -> float:
         """Return the ``q``-quantile estimate (0.0 when empty).
 

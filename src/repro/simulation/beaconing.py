@@ -16,7 +16,7 @@ Dynamic scenarios add a timeline of typed events
 discrete-event scheduler, so a link failure scheduled mid-period really
 interrupts propagation: in-flight PCBs on the link are lost, the ASes
 adjacent to the failure originate signed
-:class:`~repro.core.revocation.RevocationMessage`\\ s that flood hop-by-hop
+:class:`~repro.core.messages.RevocationMessage`\\ s that flood hop-by-hop
 through the simulated transport (each AS withdraws state crossing the
 failed element when the revocation *arrives*, then re-forwards it), and
 the :class:`~repro.simulation.collector.ConvergenceCollector` measures how
@@ -27,7 +27,7 @@ timing now topology-dependent instead of instantaneous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.control_service import ControlServiceConfig, IrecControlService, RoundReport
 from repro.core.local_view import LocalTopologyView
@@ -71,31 +71,6 @@ AnyControlService = Union[IrecControlService, LegacyControlService]
 
 
 @dataclass
-class ShardContext:
-    """Marks a :class:`BeaconingSimulation` as one shard of a sharded run.
-
-    A shard materializes control services only for the ASes it owns and
-    hands every fabric send towards a non-owned AS to ``exporter`` (the
-    coordinator routes it to the owning shard, which replays the receiver
-    side via
-    :meth:`~repro.simulation.network.SimulatedTransport.inject_import`).
-    Timeline events are *not* self-scheduled in shard mode: the
-    coordinator drives them as global barriers so probes and the
-    aggregated revocation flush see a consistent cross-shard state.
-
-    Attributes:
-        owned_ases: AS ids whose control services this shard runs.  The
-            coordinator may add grown ASes mid-run.
-        exporter: Sink for cross-shard fabric sends; receives the
-            serialized-delivery tuples documented on the transport's
-            ``exporter`` attribute.
-    """
-
-    owned_ases: Set[int]
-    exporter: Callable[[tuple], None]
-
-
-@dataclass
 class SimulationResult:
     """Everything a finished simulation exposes to the analysis code."""
 
@@ -129,11 +104,9 @@ class BeaconingSimulation:
         scenario: ScenarioConfig,
         key_store: Optional[KeyStore] = None,
         intra_domain: Optional[IntraDomainRegistry] = None,
-        shard: Optional[ShardContext] = None,
     ) -> None:
         self.topology = topology
         self.scenario = scenario
-        self.shard = shard
         self.key_store = key_store or KeyStore()
         self.intra_domain = intra_domain or IntraDomainRegistry()
         self.scheduler = EventScheduler()
@@ -155,7 +128,6 @@ class BeaconingSimulation:
             inbox_profile=scenario.inbox_profile,
             inbox_profiles=dict(scenario.inbox_profiles),
             loss_seed=scenario.loss_seed,
-            exporter=shard.exporter if shard is not None else None,
         )
         self.services: Dict[int, AnyControlService] = {}
         self.orchestrators: List[PullBasedDisjointnessOrchestrator] = []
@@ -198,19 +170,14 @@ class BeaconingSimulation:
         #: AS can be cold-restarted with its *current* deployment.
         self._deployed_specs: Dict[int, Dict[str, AlgorithmSpec]] = {}
         self._build_services()
-        if shard is None:
-            self._schedule_timeline()
-        # In shard mode the coordinator validates the timeline once and
-        # drives every event as a cross-shard barrier, so the shard never
-        # self-schedules (or defers) timeline events.
+        self._schedule_timeline()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def _build_services(self) -> None:
         for as_info in self.topology:
-            if self.shard is None or as_info.as_id in self.shard.owned_ases:
-                self._build_service(as_info)
+            self._build_service(as_info)
 
     def _build_service(self, as_info: ASInfo) -> AnyControlService:
         """Build, wire and register the control service of one AS.
@@ -445,29 +412,6 @@ class BeaconingSimulation:
             return
         before = self._watched_counts()
         event = timed.event
-        self._dispatch_event(event, now_ms)
-        after = self._watched_counts()
-        self.convergence.on_event(
-            event_label=event.trace_label(),
-            now_ms=now_ms,
-            pair_paths={pair: (before[pair], after[pair]) for pair in before},
-            messages_total=self.collector.control_messages_total(),
-        )
-        for listener in self.event_listeners:
-            listener(event, now_ms)
-        self._finish_event(timed, now_ms)
-
-    def _dispatch_event(self, event, now_ms: float) -> None:
-        """Apply one timeline event's state changes (no bookkeeping).
-
-        The isinstance chain shared by the single-process wrapper
-        (:meth:`_apply_event`, which adds convergence probes, listeners
-        and the flush trigger around it) and the sharded worker loop
-        (where the coordinator performs that bookkeeping globally and
-        each shard only applies the state changes, guarded to the
-        services it owns).
-        """
-        owned = None if self.shard is None else self.shard.owned_ases
         if isinstance(event, LinkFailure):
             self.link_state.fail_link(event.link_id)
             self._queue_revocations(failed_link=event.link_id)
@@ -483,8 +427,7 @@ class BeaconingSimulation:
             # The departing AS restarts cold; its neighbours detect the
             # loss and originate revocations, so everyone *reachable*
             # withdraws state crossing it as the flood arrives.
-            if owned is None or event.as_id in owned:
-                self._cold_restart(self.services[event.as_id])
+            self._cold_restart(self.services[event.as_id])
             self._queue_revocations(failed_as=event.as_id)
         elif isinstance(event, ASJoin):
             self.link_state.set_as_online(event.as_id)
@@ -497,13 +440,9 @@ class BeaconingSimulation:
                 else sorted(self.services)
             )
             for as_id in targets:
-                if owned is not None and as_id not in owned:
-                    continue
                 self.transport.set_inbox_budget(as_id, event.budget_per_tick)
         elif isinstance(event, BeaconFlood):
-            if owned is not None and event.attacker_as not in owned:
-                pass
-            elif self.link_state.is_as_up(event.attacker_as):
+            if self.link_state.is_as_up(event.attacker_as):
                 attacker = self.services[event.attacker_as]
                 for _ in range(event.bursts):
                     attacker.originate(now_ms=now_ms)
@@ -548,24 +487,29 @@ class BeaconingSimulation:
         elif isinstance(event, GrayRecovery):
             self.link_state.clear_gray(event.link_id)
         elif isinstance(event, RevocationForgery):
-            if owned is not None and event.attacker_as not in owned:
-                pass
-            elif self.link_state.is_as_up(event.attacker_as):
+            if self.link_state.is_as_up(event.attacker_as):
                 self._forge_revocations(event, now_ms)
         elif isinstance(event, RevocationReplay):
-            if owned is not None and event.attacker_as not in owned:
-                pass
-            elif self.link_state.is_as_up(event.attacker_as):
+            if self.link_state.is_as_up(event.attacker_as):
                 self._replay_revocations(event)
         elif isinstance(event, ForwardingSuppression):
             for as_id in sorted(event.as_ids):
-                if owned is not None and as_id not in owned:
-                    continue
                 self.services[as_id].set_revocation_forwarding(not event.suppress)
         elif isinstance(event, TopologyGrowth):
             self._grow_topology(event)
         else:
             raise SimulationError(f"unsupported scenario event {event!r}")
+
+        after = self._watched_counts()
+        self.convergence.on_event(
+            event_label=event.trace_label(),
+            now_ms=now_ms,
+            pair_paths={pair: (before[pair], after[pair]) for pair in before},
+            messages_total=self.collector.control_messages_total(),
+        )
+        for listener in self.event_listeners:
+            listener(event, now_ms)
+        self._finish_event(timed, now_ms)
 
     def _finish_event(self, timed: TimedEvent, now_ms: float) -> None:
         """Flush queued revocations once the tick's last event has applied.
@@ -607,12 +551,6 @@ class BeaconingSimulation:
     def _event_targets(self, as_ids: Optional[Tuple[int, ...]]) -> List[AnyControlService]:
         if as_ids is None:
             return self._services_in_order()
-        if self.shard is not None:
-            # Explicit targets on other shards are theirs to apply; the
-            # coordinator validated the full target list up front.
-            return [
-                self.services[as_id] for as_id in sorted(as_ids) if as_id in self.services
-            ]
         for as_id in as_ids:
             if as_id not in self.services:
                 raise UnknownASError(as_id)
@@ -627,7 +565,7 @@ class BeaconingSimulation:
         the current scheduler tick is collected, and one flush — run by
         :meth:`_finish_event` after the tick's last timeline event — has
         each adjacent AS originate a single
-        :class:`~repro.core.revocation.RevocationMessage` batching *all*
+        :class:`~repro.core.messages.RevocationMessage` batching *all*
         the elements it detected.  A revocation storm of N simultaneous
         failures therefore costs each origin one flood, not N.
         """
@@ -658,11 +596,6 @@ class BeaconingSimulation:
             for as_id in self.topology.neighbors(gone_as):
                 per_origin.setdefault(as_id, ([], []))[1].append(gone_as)
         for as_id in sorted(per_origin):
-            if self.shard is not None and as_id not in self.shard.owned_ases:
-                # Another shard owns this origin; it queued (and will
-                # flush) the same failure from its own replica of the
-                # event, so exactly one shard originates per origin.
-                continue
             if not self.link_state.is_as_up(as_id):
                 continue
             links, ases = per_origin[as_id]
@@ -702,12 +635,6 @@ class BeaconingSimulation:
                 clear_at,
                 lambda _t, _key=key: self.link_state.clear_link_loss(_key),
             )
-        if self.shard is not None:
-            # Toggles replay the LinkFailure/LinkRecovery machinery, which
-            # in a sharded run must be a coordinator-driven barrier (probe,
-            # broadcast, flush) — the coordinator synthesizes and
-            # dispatches them; the shard only installs the loss rates.
-            return
         for index, offset in enumerate(event.schedule):
             toggle = (
                 LinkFailure(link_id=key) if index % 2 == 0 else LinkRecovery(link_id=key)
@@ -809,15 +736,8 @@ class BeaconingSimulation:
                 relationship=event.relationship,
             )
             self.topology.add_link(link)
-            neighbor_service = self.services.get(neighbor_as)
-            if neighbor_service is not None:
-                neighbor_service.view.attach_link(neighbor_if, link)
-        if self.shard is None or event.new_as in self.shard.owned_ases:
-            # In a sharded run the coordinator designates exactly one
-            # owning shard for the newcomer (adding it to that shard's
-            # owned set before dispatch); every other shard only extends
-            # its topology replica and exports traffic towards it.
-            self._build_service(new_info)
+            self.services[neighbor_as].view.attach_link(neighbor_if, link)
+        self._build_service(new_info)
 
     def add_revocation_listener(self, listener) -> None:
         """Register an ``(as_id, message, removed, now_ms)`` callback fired

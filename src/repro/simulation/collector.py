@@ -276,55 +276,6 @@ class MetricsCollector:
         """
         return self._queue_delays.stats()
 
-    def merge(self, other: "MetricsCollector") -> None:
-        """Fold another collector's counters into this one.
-
-        The sharded coordinator aggregates per-worker collectors with
-        this: every message is recorded by exactly one shard (sends by
-        the sender's, deliveries/drops by the receiver's), so summing the
-        disjoint ledgers reproduces the single-process totals.  High-water
-        marks take the max per AS; queue-delay quantiles merge through
-        the reservoir (exact count/mean/max, sampled percentiles).
-        """
-        for key, value in other._counts.items():
-            self._counts[key] += value
-        for mine, theirs in (
-            (self._returned, other._returned),
-            (self._revocations, other._revocations),
-            (self._registrations, other._registrations),
-            (self._queries, other._queries),
-            (self._query_responses, other._query_responses),
-        ):
-            for period, value in theirs.items():
-                mine[period] += value
-        self._fetches += other._fetches
-        self.total_sent += other.total_sent
-        self.total_dropped += other.total_dropped
-        self.total_revocations += other.total_revocations
-        self.revocations_dropped += other.revocations_dropped
-        self.total_registrations += other.total_registrations
-        self.registrations_dropped += other.registrations_dropped
-        self.total_queries += other.total_queries
-        self.total_query_responses += other.total_query_responses
-        self.queries_dropped += other.queries_dropped
-        for mine, theirs in (
-            (self.gray_dropped, other.gray_dropped),
-            (self.inbox_dropped, other.inbox_dropped),
-            (self.inbox_marked, other.inbox_marked),
-            (self.inbox_deferred, other.inbox_deferred),
-        ):
-            for kind, value in theirs.items():
-                mine[kind] += value
-        for as_id, depth in other._queue_high_water.items():
-            if depth > self._queue_high_water.get(as_id, 0):
-                self._queue_high_water[as_id] = depth
-        self._queue_delays.merge_from(other._queue_delays)
-        self.revocation_batches += other.revocation_batches
-        self.revocation_batch_elements += other.revocation_batch_elements
-        if other.revocation_batch_max > self.revocation_batch_max:
-            self.revocation_batch_max = other.revocation_batch_max
-        self.revocation_multi_batches += other.revocation_multi_batches
-
     def reset(self) -> None:
         """Zero all counters."""
         self._counts.clear()

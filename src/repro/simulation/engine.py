@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.exceptions import SimulationError
 from repro.obs import spans as _spans
@@ -106,38 +106,6 @@ class EventScheduler:
             if frame is not None:
                 _spans.pop(frame)
 
-    def run_window(self, horizon_ms: float, inclusive: bool = True) -> int:
-        """Process events up to ``horizon_ms``; exclusive windows stop short.
-
-        ``inclusive=True`` behaves exactly like :meth:`run_until`.  With
-        ``inclusive=False`` only events *strictly before* the horizon are
-        processed — the conservative-lookahead window of the sharded
-        simulation, which must leave events at the window boundary for
-        the next window (cross-shard imports may still land exactly on
-        it).  Either way the clock advances to ``horizon_ms``.
-        """
-        frame = _spans.push("scheduler.dispatch") if _spans.ENABLED else None
-        try:
-            processed = 0
-            queue = self._queue
-            while queue and (
-                queue[0].time_ms <= horizon_ms
-                if inclusive
-                else queue[0].time_ms < horizon_ms
-            ):
-                event = heapq.heappop(queue)
-                if event.cancelled:
-                    continue
-                self.now_ms = event.time_ms
-                event.callback(self.now_ms)
-                processed += 1
-                self.processed_events += 1
-            self.now_ms = max(self.now_ms, horizon_ms)
-            return processed
-        finally:
-            if frame is not None:
-                _spans.pop(frame)
-
     def run_all(self, max_events: int = 1_000_000) -> int:
         """Process every pending event (bounded by ``max_events``).
 
@@ -178,20 +146,10 @@ class EventScheduler:
         return len(self._queue)
 
     def peek_next_time(self) -> Optional[float]:
-        """Return the time of the next pending event, if any."""
-        for event in sorted(self._queue):
-            if not event.cancelled:
-                return event.time_ms
-        return None
+        """Return the time of the next pending event, if any; O(1) amortized.
 
-    def next_event_time(self) -> Optional[float]:
-        """Return the next pending event time; O(1) amortized.
-
-        Unlike :meth:`peek_next_time` (which sorts a snapshot), this
-        lazily pops cancelled entries off the heap head — safe, since a
-        cancelled event would be skipped by the run loops anyway.  The
-        sharded coordinator polls this after every window, so it must
-        not cost O(n log n) per call.
+        Cancelled entries at the heap head are popped lazily — safe, since
+        the run loops would skip them anyway.
         """
         queue = self._queue
         while queue and queue[0].cancelled:

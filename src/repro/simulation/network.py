@@ -53,7 +53,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.beacon import Beacon
 from repro.core.messages import ControlMessage, PCBMessage, PullReturnMessage
@@ -231,14 +231,6 @@ class SimulatedTransport:
         inbox_profile: Default :class:`InboxProfile` applied to every
             registered AS's inbox.  ``None`` keeps the unlimited default.
         inbox_profiles: Per-AS profile overrides (AS id → profile).
-        exporter: Shard hook.  ``None`` (the default) keeps the
-            single-process fabric: every AS must be registered locally
-            and sends fail fast on unknown receivers.  In a shard
-            worker, sends whose receiving AS is not registered here are
-            handed to this callback as ``(delivery_time_ms, remote_as,
-            remote_interface, link_key, message)`` after the sender-side
-            metrics and availability checks ran; the owning shard
-            replays the receiver side via :meth:`inject_import`.
     """
 
     topology: Topology
@@ -251,7 +243,6 @@ class SimulatedTransport:
     inbox_profile: Optional[InboxProfile] = None
     inbox_profiles: Dict[int, InboxProfile] = field(default_factory=dict)
     loss_seed: int = 0
-    exporter: Optional[Callable[[tuple], None]] = None
     services: Dict[int, object] = field(default_factory=dict)
     _inboxes: Dict[int, _Inbox] = field(default_factory=dict)
     _sequence: "itertools.count" = field(default_factory=lambda: itertools.count(1))
@@ -363,19 +354,13 @@ class SimulatedTransport:
         if route is None:
             link = self.topology.link_of_interface(endpoint)
             remote_as, remote_interface = link.other_end(endpoint)
-            if remote_as in self._inboxes or self.exporter is None:
-                self.service_of(remote_as)  # fail fast on unknown receivers
-                inbox = self._inboxes[remote_as]
-            else:
-                # Cross-shard receiver: delivery (and its checks) happen in
-                # the owning worker; a ``None`` inbox marks the export path.
-                inbox = None
+            self.service_of(remote_as)  # fail fast on unknown receivers
             route = (
                 link.key,
                 link.latency_ms,
                 remote_as,
                 remote_interface,
-                inbox,
+                self._inboxes[remote_as],
             )
             self._routes[endpoint] = route
         return route
@@ -437,21 +422,6 @@ class SimulatedTransport:
             self._record_drop(message, now_ms)
             return
 
-        if inbox is None:
-            # Cross-shard send: the sender side (metrics, send-time
-            # availability) ran above; serialize the receiver side out to
-            # the shard that owns the remote AS.
-            self.exporter(
-                (
-                    now_ms + latency_ms + self.processing_delay_ms,
-                    remote_as,
-                    remote_interface,
-                    link_key,
-                    message,
-                )
-            )
-            return
-
         deliver = partial(
             self._deliver,
             message,
@@ -478,13 +448,7 @@ class SimulatedTransport:
         track: bool,
         now_ms: float,
     ) -> None:
-        """Receiver side of one delivery (the scheduled fabric callback).
-
-        Shared verbatim between local sends (scheduled by
-        :meth:`_send_message`) and cross-shard imports (scheduled by
-        :meth:`inject_import`), so a message crossing a shard boundary
-        passes exactly the checks it would have passed in one process.
-        """
+        """Receiver side of one delivery (the scheduled fabric callback)."""
         if self.link_state is not None and self.link_state.impaired():
             if not self.link_state.link_key_available(link_key):
                 self._record_drop(message, now_ms)
@@ -529,37 +493,6 @@ class SimulatedTransport:
         elif not inbox.drain_scheduled:
             inbox.drain_scheduled = True
             self.scheduler.schedule_at(now_ms, self._drain_callbacks[remote_as])
-
-    def inject_import(
-        self,
-        delivery_ms: float,
-        remote_as: int,
-        remote_interface: int,
-        link_key: tuple,
-        message: ControlMessage,
-    ) -> None:
-        """Schedule a cross-shard import for local receiver-side delivery.
-
-        The sending shard already recorded the transmission and passed
-        the send-time availability check; this schedules the same
-        :meth:`_deliver` callback a local send would have, at the
-        precomputed delivery time.
-        """
-        inbox = self._inboxes.get(remote_as)
-        if inbox is None:
-            raise UnknownASError(remote_as)
-        self.scheduler.schedule_at(
-            delivery_ms,
-            partial(
-                self._deliver,
-                message,
-                remote_as,
-                remote_interface,
-                link_key,
-                inbox,
-                message.needs_hop_tracking(),
-            ),
-        )
 
     def _drain(self, as_id: int, now_ms: float) -> None:
         """Hand the inbox's pending messages to the control service.
@@ -745,10 +678,6 @@ class SimulatedTransport:
                 beacon=beacon,
             ),
         )
-
-    def send_revocation(self, sender_as: int, egress_interface: int, revocation) -> None:
-        """Send a revocation message (already a typed control message)."""
-        self.send_message(sender_as, egress_interface, revocation)
 
     # ------------------------------------------------------------------
     # path-travel deliveries (not link-routed)

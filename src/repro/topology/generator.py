@@ -293,6 +293,72 @@ def paper_scale_config(seed: int = 7) -> TopologyConfig:
     )
 
 
+#: Scale name → topology shape of the benchmark presets (``paper`` is
+#: :func:`paper_scale_config`).  The benchmark harness, the pytest
+#: benchmarks and the experiment sweeps all resolve scales here.
+_SCALE_PRESETS: Dict[str, Dict[str, object]] = {
+    "small": dict(
+        num_ases=30,
+        num_core=4,
+        num_transit=9,
+        core_parallel_links=2,
+        transit_provider_count=2,
+        stub_provider_count=2,
+        peering_probability=0.15,
+        max_pops_core=5,
+        max_pops_transit=3,
+        max_pops_stub=2,
+    ),
+    "medium": dict(
+        num_ases=120,
+        num_core=6,
+        num_transit=30,
+        core_parallel_links=2,
+        transit_provider_count=3,
+        stub_provider_count=2,
+        peering_probability=0.1,
+        max_pops_core=6,
+        max_pops_transit=3,
+        max_pops_stub=2,
+    ),
+    "large": dict(
+        num_ases=260,
+        num_core=8,
+        num_transit=64,
+        core_parallel_links=2,
+        transit_provider_count=3,
+        stub_provider_count=2,
+        peering_probability=0.08,
+        max_pops_core=6,
+        max_pops_transit=3,
+        max_pops_stub=2,
+    ),
+}
+
+#: Every scale name :func:`scale_config` accepts.
+SCALES = ("small", "medium", "large", "paper")
+
+
+def scale_config(scale: str, seed: int = 7) -> TopologyConfig:
+    """Return the benchmark topology preset named ``scale``.
+
+    ``small`` (30 ASes), ``medium`` (120), ``large`` (260) and ``paper``
+    (500, :func:`paper_scale_config`).
+
+    Raises:
+        ConfigurationError: If ``scale`` names no preset.
+    """
+    if scale == "paper":
+        return paper_scale_config(seed=seed)
+    try:
+        shape = _SCALE_PRESETS[scale]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; expected one of {', '.join(SCALES)}"
+        ) from None
+    return TopologyConfig(seed=seed, **shape)
+
+
 def small_test_config(seed: int = 7) -> TopologyConfig:
     """Return a deliberately small configuration for fast unit tests."""
     return TopologyConfig(

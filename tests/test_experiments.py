@@ -6,11 +6,15 @@ attackers-disabled digest-equality acceptance check) and headless plot
 rendering with the dependency-free SVG backend.
 """
 
+import importlib.util
 import json
 import os
 import sys
 
 import pytest
+
+from repro.exceptions import ConfigurationError
+from repro.topology.generator import SCALES, scale_config
 
 _BENCHMARKS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
@@ -20,6 +24,7 @@ if _BENCHMARKS not in sys.path:
 
 import plot_results  # noqa: E402
 import result_logger  # noqa: E402
+import run_benchmarks  # noqa: E402
 import run_experiments  # noqa: E402
 from result_logger import (  # noqa: E402
     ResultLogger,
@@ -151,6 +156,30 @@ class TestGridLoading:
         cells = run_experiments.grid_cells(grid)
         assert cells == sorted(cells)
         assert len(cells) == 4
+
+
+def _load_bench_conftest():
+    """Import ``benchmarks/conftest.py`` under a name that cannot clash."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", os.path.join(_BENCHMARKS, "conftest.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScalePresets:
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_benchmark_entry_points_agree(self, scale, monkeypatch):
+        monkeypatch.setenv("IREC_BENCH_SCALE", scale)
+        expected = scale_config(scale, seed=11)
+        assert _load_bench_conftest().bench_topology_config(seed=11) == expected
+        assert run_benchmarks.scale_topology_config(scale, seed=11) == expected
+        assert run_experiments.scale_config(scale, 11) == expected
+
+    def test_unknown_scale_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown scale"):
+            scale_config("huge")
 
 
 class TestSweepEndToEnd:

@@ -36,18 +36,13 @@ from tests.conftest import line_topology
 GOLDEN_DIGEST = "5ce362c5870d1b961141d110321bed2360d38f20be418884cfa6aac7ee21ed8d"
 
 
-def run_scenario(instrument=None, factory=None):
+def run_scenario(instrument=None):
     """Run the pinned golden scenario; return its trace text.
 
     ``instrument`` (if given) receives the built simulation right before
     ``run()`` — the observatory tests use it to attach telemetry and prove
-    the digest is unchanged with instrumentation enabled.  ``factory``
-    (default :class:`BeaconingSimulation`) builds the simulation from
-    ``(topology, scenario)`` — the sharded tests pass a coordinator
-    factory to prove a multi-process run reproduces this exact trace.
+    the digest is unchanged with instrumentation enabled.
     """
-    if factory is None:
-        factory = BeaconingSimulation
     topology = line_topology(5)
     scenario = don_scenario(periods=11, verify_signatures=False)
 
@@ -66,7 +61,7 @@ def run_scenario(instrument=None, factory=None):
         )
     )
 
-    simulation = factory(topology, scenario)
+    simulation = BeaconingSimulation(topology, scenario)
     simulation.watch_pair(3, 1)
     simulation.watch_pair(5, 1)
     if instrument is not None:
@@ -116,10 +111,8 @@ FAMILY_DIGESTS = {
 }
 
 
-def run_family_scenario(family, factory=None):
+def run_family_scenario(family):
     """Run one adversarial-family golden scenario; return its trace text."""
-    if factory is None:
-        factory = BeaconingSimulation
     topology = line_topology(5)
     # Byzantine runs verify signatures — the family's whole point is the
     # rejection path; the others keep the clean run's cheap setting.
@@ -153,25 +146,17 @@ def run_family_scenario(family, factory=None):
     else:  # pragma: no cover - guard against typos in parametrization
         raise ValueError(f"unknown family {family!r}")
 
-    simulation = factory(topology, scenario)
+    simulation = BeaconingSimulation(topology, scenario)
     simulation.watch_pair(5, 1)
     result = simulation.run()
-    if hasattr(result, "services"):
-        rejected = sum(s.revocations.rejected_invalid for s in result.services.values())
-        duplicates = sum(s.revocations.duplicates for s in result.services.values())
-        ases = len(result.services)
-    else:  # a sharded result carries per-AS stats instead of live services
-        rejected = result.rejected_invalid_total
-        duplicates = result.duplicates_total
-        ases = result.service_count
     summary = (
         f"sent={result.collector.total_sent}"
         f" dropped={result.collector.total_dropped}"
         f" gray={result.collector.gray_dropped_total()}"
         f" revocations={result.collector.total_revocations}"
-        f" rejected={rejected}"
-        f" duplicates={duplicates}"
-        f" ases={ases}"
+        f" rejected={sum(s.revocations.rejected_invalid for s in result.services.values())}"
+        f" duplicates={sum(s.revocations.duplicates for s in result.services.values())}"
+        f" ases={len(result.services)}"
         f" final={result.final_time_ms:.3f}"
         f" records={len(result.convergence.records)}"
     )

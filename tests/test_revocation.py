@@ -2,7 +2,7 @@
 
 The revocation subsystem replaces the old instantaneous counter flood:
 after a failure, the adjacent ASes originate signed, sequence-numbered
-:class:`~repro.core.revocation.RevocationMessage` objects that travel
+:class:`~repro.core.messages.RevocationMessage` objects that travel
 hop-by-hop through the simulated transport.  These tests pin the message
 model (signing, dedup, validation), the propagation-ordered withdrawal
 semantics, the interaction with :class:`LinkState` (revocations crossing a
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core.control_service import ControlServiceConfig, IrecControlService
 from repro.core.local_view import LocalTopologyView
-from repro.core.revocation import RevocationMessage, RevocationState
+from repro.core.messages import RevocationMessage
+from repro.core.revocation import RevocationState
 from repro.core.transport import LoopbackTransport
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier

@@ -74,6 +74,12 @@ class TestEventScheduler:
         assert scheduler.peek_next_time() is None
         scheduler.schedule_at(5.0, lambda now: None)
         assert scheduler.peek_next_time() == 5.0
+        # A cancelled earliest event is skipped, not reported.
+        earliest = scheduler.schedule_at(2.0, lambda now: None)
+        assert scheduler.peek_next_time() == 2.0
+        scheduler.cancel(earliest)
+        assert scheduler.peek_next_time() == 5.0
+        assert scheduler.pending == 1
 
 
 class TestMetricsCollector:
