@@ -16,31 +16,35 @@ logic in one place.
 Fast-path invariants
 --------------------
 
-Beacons and their entries are **immutable**, which makes every derived
-value cacheable: canonical encodings, the SHA-256 digest (the canonical
-identity used for deduplication everywhere), the prefix-digest chain and
-the accumulated path metrics are all computed at most once per object and
-memoized in the instance ``__dict__`` (dataclass equality and hashing only
-consider declared fields, so the memos are invisible to comparisons).
-Because :class:`ASEntry` objects are shared between a beacon and every
-beacon derived from it via :meth:`Beacon.with_entry`, extending a beacon
-re-encodes only the appended entry — the parent's per-entry encodings are
-cache hits — so building an ``L``-hop beacon costs ``O(L)`` entry encodings
-in total instead of ``O(L²)``.
+Every beacon holds, from construction on, the derived state each beacon
+needs: the header encoding, the full encoding of every entry, the
+prefix-digest chain, the AS path and the AS set.  A beacon built by
+:class:`BeaconBuilder` *carries* that state from its parent instead of
+recomputing it: the header encoding is the parent's object, and each tuple
+is the parent's plus one element.  One extension therefore encodes the new
+entry's unsigned form once, signs ``header | entry_0 | … | entry_{L-1} |
+unsigned`` once and hashes the full encoding once — ``O(1)`` encodings and
+digests per hop, whatever the hop count.  A directly constructed
+``Beacon(...)`` (tests, ``dataclasses.replace``) computes the same state
+from scratch in one pass.  Rarely used values (links, accumulated metrics,
+the full encoding) stay lazy in :func:`functools.cached_property` slots.
+Derived state lives outside the declared fields, so equality, hashing and
+``repr`` never see it.
 
-The digest is defined as ``sha256(header | entry_0 | … | entry_{L-1})`` and
-is computed via an incrementally-updated hash state whose intermediate
-snapshots form the :meth:`Beacon.prefix_digests` chain: element ``i`` is
-the digest the beacon had when entry ``i`` was its last entry.  The ingress
-gateway keys its verified-prefix cache on this chain, so both dedup and
-incremental re-verification come out of one pass over the encoding.
+Element ``i`` of :meth:`Beacon.prefix_digests` is
+``sha256(header | entry_0 | … | entry_i)``, i.e. the digest the beacon had
+when entry ``i`` was its last entry; :meth:`Beacon.digest` is the last
+element.  The digest is the canonical identity used for deduplication
+everywhere, and the ingress gateway keys its verified-prefix cache on the
+chain, so both dedup and incremental re-verification read the same values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import beacon_digest, count_crypto_op
@@ -57,19 +61,16 @@ DEFAULT_VALIDITY_MS = 6.0 * 60.0 * 60.0 * 1000.0
 _beacon_sequence = itertools.count(1)
 
 
-def _memo(obj, key: str, compute):
-    """Return ``obj.__dict__[key]``, computing and storing it on first use.
-
-    The single memoization primitive of the beacon fast path.  It works on
-    frozen dataclasses because writing to the instance ``__dict__``
-    bypasses the frozen ``__setattr__``, and stays invisible to dataclass
-    equality/hashing, which only consider declared fields.
-    """
-    cached = obj.__dict__.get(key)
-    if cached is None:
-        cached = compute()
-        obj.__dict__[key] = cached
-    return cached
+def _encode_unsigned(
+    as_id: int,
+    ingress_interface: Optional[int],
+    egress_interface: Optional[int],
+    static_info: StaticInfo,
+) -> str:
+    return (
+        f"entry(as={as_id},in={ingress_interface},"
+        f"out={egress_interface},{static_info.encode()})"
+    )
 
 
 @dataclass(frozen=True)
@@ -95,25 +96,18 @@ class ASEntry:
     signature: bytes = b""
 
     def encode_unsigned(self) -> str:
-        """Return the canonical encoding of the entry without its signature.
-
-        The encoding is memoized: entries are immutable, so it is computed
-        at most once per entry object.
-        """
-        return _memo(
-            self,
-            "_encoded_unsigned",
-            lambda: (
-                f"entry(as={self.as_id},in={self.ingress_interface},"
-                f"out={self.egress_interface},{self.static_info.encode()})"
-            ),
+        """Return the canonical encoding of the entry without its signature."""
+        return _encode_unsigned(
+            self.as_id, self.ingress_interface, self.egress_interface, self.static_info
         )
 
     def encode(self) -> str:
-        """Return the canonical encoding including the signature (memoized)."""
-        return _memo(
-            self, "_encoded", lambda: f"{self.encode_unsigned()}sig({self.signature.hex()})"
-        )
+        """Return the canonical encoding including the signature.
+
+        Beacons carry these encodings (see the module docstring), so the
+        fast path never calls this for an entry it has already encoded.
+        """
+        return f"{self.encode_unsigned()}sig({self.signature.hex()})"
 
 
 @dataclass(frozen=True)
@@ -136,6 +130,53 @@ class Beacon:
     extensions: ExtensionSet = field(default_factory=ExtensionSet)
     validity_ms: float = DEFAULT_VALIDITY_MS
     beacon_id: int = field(default_factory=lambda: next(_beacon_sequence))
+
+    def __post_init__(self) -> None:
+        """Compute the derived state from scratch (see the module docstring)."""
+        header = (
+            f"pcb(origin={self.origin_as},created={self.created_at_ms:.3f},"
+            f"validity={self.validity_ms:.3f},{self.extensions.encode()})"
+        )
+        encodings = tuple(entry.encode() for entry in self.entries)
+        digests: List[str] = []
+        if encodings:
+            count_crypto_op("beacon_digest")
+            state = hashlib.sha256(header.encode("utf-8"))
+            for encoding in encodings:
+                state.update(b"|")
+                state.update(encoding.encode("utf-8"))
+                digests.append(state.copy().hexdigest())
+        as_path = tuple(entry.as_id for entry in self.entries)
+        self.__dict__.update(
+            _header=header,
+            _encodings=encodings,
+            _prefix_digests=tuple(digests),
+            _as_path=as_path,
+            _as_set=frozenset(as_path),
+        )
+
+    def _extended(self, entry: ASEntry, encoding: str, digest: str) -> "Beacon":
+        """Return this beacon plus the signed ``entry``, carrying derived state.
+
+        Skips ``__init__``: ``encoding`` is the new entry's full encoding and
+        ``digest`` the child's digest, both computed once by
+        :meth:`BeaconBuilder._append`.
+        """
+        child = object.__new__(type(self))
+        child.__dict__.update(
+            origin_as=self.origin_as,
+            created_at_ms=self.created_at_ms,
+            entries=self.entries + (entry,),
+            extensions=self.extensions,
+            validity_ms=self.validity_ms,
+            beacon_id=next(_beacon_sequence),
+            _header=self._header,
+            _encodings=self._encodings + (encoding,),
+            _prefix_digests=self._prefix_digests + (digest,),
+            _as_path=self._as_path + (entry.as_id,),
+            _as_set=self._as_set | {entry.as_id},
+        )
+        return child
 
     # ------------------------------------------------------------------
     # structural accessors
@@ -188,37 +229,41 @@ class Beacon:
 
     def as_path(self) -> Tuple[int, ...]:
         """Return the sequence of AS identifiers from the origin onwards."""
-        return _memo(self, "_as_path", lambda: tuple(entry.as_id for entry in self.entries))
+        return self._as_path
 
     def contains_as(self, as_id: int) -> bool:
         """Return whether ``as_id`` already appears on the beacon's path."""
-        return as_id in _memo(self, "_as_set", lambda: frozenset(self.as_path()))
+        return as_id in self._as_set
 
     def links(self) -> Tuple[LinkID, ...]:
         """Return the inter-domain links traversed, as normalised link ids.
 
         The link between consecutive entries ``i`` and ``i + 1`` connects
         the egress interface of entry ``i`` with the ingress interface of
-        entry ``i + 1``.  The tuple is memoized: link-state checks run on
+        entry ``i + 1``.  The tuple is cached: link-state checks run on
         every in-flight delivery of a dynamic scenario and revocation
         purges probe it per stored beacon, so the walk must not repeat.
         """
+        return self._links
 
-        def compute() -> Tuple[LinkID, ...]:
-            result: List[LinkID] = []
-            for previous, current in zip(self.entries, self.entries[1:]):
-                if previous.egress_interface is None or current.ingress_interface is None:
-                    raise BeaconError("interior beacon entries must specify both interfaces")
-                a: InterfaceID = (previous.as_id, previous.egress_interface)
-                b: InterfaceID = (current.as_id, current.ingress_interface)
-                result.append(normalize_link_id(a, b))
-            return tuple(result)
-
-        return _memo(self, "_links", compute)
+    @cached_property
+    def _links(self) -> Tuple[LinkID, ...]:
+        result: List[LinkID] = []
+        for previous, current in zip(self.entries, self.entries[1:]):
+            if previous.egress_interface is None or current.ingress_interface is None:
+                raise BeaconError("interior beacon entries must specify both interfaces")
+            a: InterfaceID = (previous.as_id, previous.egress_interface)
+            b: InterfaceID = (current.as_id, current.ingress_interface)
+            result.append(normalize_link_id(a, b))
+        return tuple(result)
 
     def link_set(self) -> frozenset:
-        """Return :meth:`links` as a memoized frozenset for containment checks."""
-        return _memo(self, "_link_set", lambda: frozenset(self.links()))
+        """Return :meth:`links` as a cached frozenset for containment checks."""
+        return self._link_set
+
+    @cached_property
+    def _link_set(self) -> frozenset:
+        return frozenset(self._links)
 
     def interfaces(self) -> Tuple[InterfaceID, ...]:
         """Return every (AS, interface) pair that appears on the beacon."""
@@ -229,6 +274,14 @@ class Beacon:
             if entry.egress_interface is not None:
                 result.append((entry.as_id, entry.egress_interface))
         return tuple(result)
+
+    @cached_property
+    def vector_cache(self) -> dict:
+        """Per-beacon cache of extracted path vectors, keyed by criteria.
+
+        Filled by :meth:`repro.core.criteria.StandardMetrics.vector_for`.
+        """
+        return {}
 
     # ------------------------------------------------------------------
     # accumulated metrics
@@ -241,28 +294,26 @@ class Beacon:
         latency is included, i.e. the value is the latency up to the ingress
         interface of the *next* AS (the one about to receive the beacon),
         matching what that AS observes when optimizing received paths.
-
-        The value is memoized — beacons are immutable, so the walk over the
-        entries happens at most once per beacon object.
+        The value is cached after the first call.
         """
-        return _memo(
-            self,
-            "_total_latency_ms",
-            lambda: sum(entry.static_info.hop_latency_ms for entry in self.entries),
-        )
+        return self._total_latency_ms
+
+    @cached_property
+    def _total_latency_ms(self) -> float:
+        return sum(entry.static_info.hop_latency_ms for entry in self.entries)
 
     def bottleneck_bandwidth_mbps(self) -> float:
-        """Return the bottleneck (minimum) link bandwidth along the path (memoized)."""
+        """Return the bottleneck (minimum) link bandwidth along the path (cached)."""
+        return self._bottleneck_bandwidth_mbps
 
-        def compute() -> float:
-            bandwidths = [
-                entry.static_info.link_bandwidth_mbps
-                for entry in self.entries
-                if entry.static_info.link_bandwidth_mbps is not None
-            ]
-            return min(bandwidths) if bandwidths else float("inf")
-
-        return _memo(self, "_bottleneck_bandwidth_mbps", compute)
+    @cached_property
+    def _bottleneck_bandwidth_mbps(self) -> float:
+        bandwidths = [
+            entry.static_info.link_bandwidth_mbps
+            for entry in self.entries
+            if entry.static_info.link_bandwidth_mbps is not None
+        ]
+        return min(bandwidths) if bandwidths else float("inf")
 
     # ------------------------------------------------------------------
     # lifecycle and integrity
@@ -275,86 +326,33 @@ class Beacon:
         """Return the absolute simulated expiry time."""
         return self.created_at_ms + self.validity_ms
 
-    def header_encoding(self) -> str:
-        """Return the canonical encoding of the beacon header (memoized)."""
-        return _memo(
-            self,
-            "_header_encoding",
-            lambda: (
-                f"pcb(origin={self.origin_as},created={self.created_at_ms:.3f},"
-                f"validity={self.validity_ms:.3f},{self.extensions.encode()})"
-            ),
-        )
-
-    def _entry_encodings(self) -> Tuple[str, ...]:
-        """Return the cached full encodings of all entries.
-
-        Each element comes from :meth:`ASEntry.encode`, which memoizes on
-        the entry object itself; since entries are shared with every beacon
-        derived through :meth:`with_entry`, only entries never encoded
-        before (typically just the newly-appended one) do real work.
-        """
-        return _memo(
-            self,
-            "_entry_encodings_cache",
-            lambda: tuple(entry.encode() for entry in self.entries),
-        )
-
-    def signed_prefix(self, upto: int) -> bytes:
-        """Return the byte string signed by the AS that appended entry ``upto``.
-
-        The signed material covers the header, all fully-encoded previous
-        entries (including their signatures) and the unsigned encoding of
-        entry ``upto`` itself, which chains the signatures together.
-        """
-        if not 0 <= upto < len(self.entries):
-            raise BeaconError(f"entry index {upto} out of range")
-        parts = [self.header_encoding()]
-        parts.extend(self._entry_encodings()[:upto])
-        parts.append(self.entries[upto].encode_unsigned())
-        return "|".join(parts).encode("utf-8")
-
     def encode(self) -> bytes:
-        """Return the full canonical encoding (used for hashing/dedup, memoized)."""
+        """Return the full canonical encoding (cached after the first call)."""
+        return self._encoded
 
-        def compute() -> bytes:
-            count_crypto_op("beacon_encode")
-            parts = [self.header_encoding()]
-            parts.extend(self._entry_encodings())
-            return "|".join(parts).encode("utf-8")
+    @cached_property
+    def _encoded(self) -> bytes:
+        count_crypto_op("beacon_encode")
+        return "|".join((self._header, *self._encodings)).encode("utf-8")
 
-        return _memo(self, "_encoded", compute)
+    def encoded_size(self) -> int:
+        """Return ``len(self.encode())`` without keeping the encoding."""
+        return len("|".join((self._header, *self._encodings)).encode("utf-8"))
 
     def prefix_digests(self) -> Tuple[str, ...]:
-        """Return the digest chain of the beacon's prefixes (memoized).
+        """Return the digest chain of the beacon's prefixes.
 
         Element ``i`` is the SHA-256 hex digest of
         ``header | entry_0 | … | entry_i`` — i.e. exactly the
         :meth:`digest` the beacon had when entry ``i`` was its last entry.
-        The whole chain is produced in one pass by snapshotting an
-        incrementally-updated hash state, so it costs one traversal of the
-        encoding regardless of the hop count.  The ingress gateway keys its
-        verified-prefix cache on these values.
+        The ingress gateway keys its verified-prefix cache on these values.
         """
-        def compute() -> Tuple[str, ...]:
-            count_crypto_op("beacon_digest")
-            state = hashlib.sha256(self.header_encoding().encode("utf-8"))
-            digests: List[str] = []
-            for encoded_entry in self._entry_encodings():
-                state.update(b"|")
-                state.update(encoded_entry.encode("utf-8"))
-                digests.append(state.copy().hexdigest())
-            return tuple(digests)
-
-        return _memo(self, "_prefix_digests", compute)
+        return self._prefix_digests
 
     def digest(self) -> str:
-        """Return the SHA-256 hex digest of the full encoding (memoized)."""
-        return _memo(
-            self,
-            "_digest",
-            lambda: self.prefix_digests()[-1] if self.entries else beacon_digest(self.encode()),
-        )
+        """Return the SHA-256 hex digest of the full encoding."""
+        digests = self._prefix_digests
+        return digests[-1] if digests else beacon_digest(self.encode())
 
     def verify(self, verifier: Verifier) -> None:
         """Verify the complete signature chain.
@@ -368,13 +366,12 @@ class Beacon:
     def verify_suffix(self, verifier: Verifier, first_entry: int) -> None:
         """Verify the signatures of entries ``first_entry`` onwards.
 
-        The signed prefixes are built from one growing buffer instead of
-        being re-joined from scratch per entry, and the per-entry encodings
-        are cache hits, so the string work is linear in the encoding size.
-        Skipping already-verified prefixes is only sound when the caller
-        knows the prefix ending at ``first_entry - 1`` was verified against
-        the same key material — that is what the ingress gateway's
-        verified-prefix cache establishes.
+        The signed prefixes are built from one growing buffer over the
+        carried entry encodings, so the string work is linear in the
+        encoding size.  Skipping already-verified prefixes is only sound
+        when the caller knows the prefix ending at ``first_entry - 1`` was
+        verified against the same key material — that is what the ingress
+        gateway's verified-prefix cache establishes.
 
         Raises:
             SignatureError: If any checked entry's signature is invalid.
@@ -385,37 +382,25 @@ class Beacon:
             raise BeaconError("cannot verify a beacon without entries")
         if not 0 <= first_entry <= len(self.entries):
             raise BeaconError(f"entry index {first_entry} out of range")
-        encodings = self._entry_encodings()
-        prefix_parts = [self.header_encoding()]
-        prefix_parts.extend(encodings[:first_entry])
-        prefix = "|".join(prefix_parts)
-        for index in range(first_entry, len(self.entries)):
+        encodings = self._encodings
+        prefix = "|".join((self._header, *encodings[:first_entry]))
+        for index in range(first_entry, len(encodings)):
             entry = self.entries[index]
-            signed = f"{prefix}|{entry.encode_unsigned()}".encode("utf-8")
-            verifier.verify(entry.as_id, signed, entry.signature)
-            prefix = f"{prefix}|{encodings[index]}"
-
-    # ------------------------------------------------------------------
-    # derivation
-    # ------------------------------------------------------------------
-    def with_entry(self, entry: ASEntry) -> "Beacon":
-        """Return a new beacon with ``entry`` appended (no loop allowed)."""
-        if self.is_terminated:
-            raise BeaconError("cannot extend a terminated beacon")
-        if self.contains_as(entry.as_id):
-            raise LoopError(
-                f"AS {entry.as_id} already on path {self.as_path()}; refusing to create a loop"
-            )
-        return replace(self, entries=self.entries + (entry,), beacon_id=next(_beacon_sequence))
+            encoding = encodings[index]
+            # A full entry encoding is the unsigned one plus ``sig(<hex>)``.
+            unsigned = encoding[: len(encoding) - 2 * len(entry.signature) - 5]
+            verifier.verify(entry.as_id, f"{prefix}|{unsigned}".encode("utf-8"), entry.signature)
+            prefix = f"{prefix}|{encoding}"
 
 
 @dataclass
 class BeaconBuilder:
     """Creates, extends and terminates beacons on behalf of one AS.
 
-    The builder encapsulates the signing logic: entries are first appended
-    unsigned, then the signature over the correctly chained prefix is
-    computed and substituted in.  It is owned by the AS's egress gateway.
+    All three operations go through :meth:`_append`, which signs the new
+    entry over the correctly chained prefix and builds the signed entry and
+    the child beacon exactly once each.  It is owned by the AS's egress
+    gateway.
     """
 
     as_id: int
@@ -430,20 +415,15 @@ class BeaconBuilder:
         validity_ms: float = DEFAULT_VALIDITY_MS,
     ) -> Beacon:
         """Create a fresh beacon leaving this AS over ``egress_interface``."""
-        entry = ASEntry(
-            as_id=self.as_id,
-            ingress_interface=None,
-            egress_interface=egress_interface,
-            static_info=static_info or StaticInfo(),
-        )
-        beacon = Beacon(
+        header_only = Beacon(
             origin_as=self.as_id,
             created_at_ms=created_at_ms,
-            entries=(entry,),
+            entries=(),
             extensions=extensions or ExtensionSet(),
             validity_ms=validity_ms,
+            beacon_id=0,
         )
-        return self._sign_last_entry(beacon)
+        return self._append(header_only, None, egress_interface, static_info)
 
     def extend(
         self,
@@ -453,13 +433,7 @@ class BeaconBuilder:
         static_info: Optional[StaticInfo] = None,
     ) -> Beacon:
         """Append this AS's hop to ``beacon`` for propagation."""
-        entry = ASEntry(
-            as_id=self.as_id,
-            ingress_interface=ingress_interface,
-            egress_interface=egress_interface,
-            static_info=static_info or StaticInfo(),
-        )
-        return self._sign_last_entry(beacon.with_entry(entry))
+        return self._append(beacon, ingress_interface, egress_interface, static_info)
 
     def terminate(
         self,
@@ -468,21 +442,38 @@ class BeaconBuilder:
         static_info: Optional[StaticInfo] = None,
     ) -> Beacon:
         """Append a terminal (no-egress) entry, producing a registrable segment."""
-        entry = ASEntry(
-            as_id=self.as_id,
-            ingress_interface=ingress_interface,
-            egress_interface=None,
-            static_info=static_info or StaticInfo(),
-        )
-        return self._sign_last_entry(beacon.with_entry(entry))
+        return self._append(beacon, ingress_interface, None, static_info)
 
-    def _sign_last_entry(self, beacon: Beacon) -> Beacon:
-        """Replace the last entry with a signed copy."""
-        index = len(beacon.entries) - 1
-        signature = self.signer.sign(beacon.signed_prefix(index))
-        signed_entry = replace(beacon.entries[index], signature=signature)
-        entries = beacon.entries[:index] + (signed_entry,)
-        return replace(beacon, entries=entries)
+    def _append(
+        self,
+        parent: Beacon,
+        ingress_interface: Optional[int],
+        egress_interface: Optional[int],
+        static_info: Optional[StaticInfo],
+    ) -> Beacon:
+        """Return ``parent`` plus this AS's signed entry (no loop allowed).
+
+        Encodes the entry's unsigned form once, signs
+        ``header | entry_0 | … | entry_{L-1} | unsigned`` and hashes that
+        message followed by the signature, which is the child's full
+        encoding.
+        """
+        if parent.is_terminated:
+            raise BeaconError("cannot extend a terminated beacon")
+        if parent.contains_as(self.as_id):
+            raise LoopError(
+                f"AS {self.as_id} already on path {parent.as_path()}; refusing to create a loop"
+            )
+        static_info = static_info or StaticInfo()
+        unsigned = _encode_unsigned(self.as_id, ingress_interface, egress_interface, static_info)
+        signed = "|".join((parent._header, *parent._encodings, unsigned)).encode("utf-8")
+        signature = self.signer.sign(signed)
+        seal = f"sig({signature.hex()})"
+        count_crypto_op("beacon_digest")
+        state = hashlib.sha256(signed)
+        state.update(seal.encode("utf-8"))
+        entry = ASEntry(self.as_id, ingress_interface, egress_interface, static_info, signature)
+        return parent._extended(entry, unsigned + seal, state.hexdigest())
 
 
 def dedupe_beacons(beacons: Iterable[Beacon]) -> List[Beacon]:

@@ -90,17 +90,15 @@ class StandardMetrics:
     def vector_for(cls, metrics: Sequence[MetricDefinition], beacon: Beacon) -> PathVector:
         """Return the :class:`PathVector` of ``beacon`` over ``metrics``.
 
-        The vector is memoized per (beacon, signature): beacons are
+        The vector is cached per (beacon, signature) in the beacon's
+        :attr:`~repro.core.beacon.Beacon.vector_cache`: beacons are
         immutable and extractor registration is append-only, so the same
         beacon evaluated by the same criteria set across rounds (the common
         case — every RAC re-ranks its whole bucket each period) reuses the
         extracted values instead of re-walking the entries.
         """
         signature = tuple(metrics)
-        cache = beacon.__dict__.get("_metric_vectors")
-        if cache is None:
-            cache = {}
-            beacon.__dict__["_metric_vectors"] = cache
+        cache = beacon.vector_cache
         vector = cache.get(signature)
         if vector is None:
             vector = PathVector(

@@ -53,9 +53,10 @@ cost O(1) — see the ROADMAP's flood fast-path invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import ClassVar, NamedTuple, Optional, Tuple
 
-from repro.core.beacon import Beacon, _memo
+from repro.core.beacon import Beacon
 from repro.core.databases import RegisteredPath
 from repro.core.query import PathQuery
 from repro.crypto.signer import Signer, Verifier
@@ -179,8 +180,8 @@ class PCBMessage(ControlMessage):
             raise ConfigurationError("a PCB message carries exactly one beacon")
 
     def size_bytes(self) -> int:
-        """Return the size of the beacon's canonical encoding (memoized)."""
-        return _memo(self, "_size_bytes", lambda: len(self.beacon.encode()))
+        """Return the size of the beacon's canonical encoding."""
+        return self.beacon.encoded_size()
 
     def trace_label(self) -> str:
         return (
@@ -267,38 +268,38 @@ class RevocationMessage(ControlMessage):
         """Scope-limited revocations need the hop path as their witness."""
         return self.max_hops is not None
 
-    @property
+    @cached_property
     def failed_link_set(self) -> frozenset:
-        """Return the revoked links as a frozenset (memoized)."""
-        return _memo(self, "_failed_link_set", lambda: frozenset(self.failed_links))
+        """Return the revoked links as a frozenset (cached)."""
+        return frozenset(self.failed_links)
 
-    @property
+    @cached_property
     def failed_as_set(self) -> frozenset:
-        """Return the departed ASes as a frozenset (memoized)."""
-        return _memo(self, "_failed_as_set", lambda: frozenset(self.failed_ases))
+        """Return the departed ASes as a frozenset (cached)."""
+        return frozenset(self.failed_ases)
 
     def encode_unsigned(self) -> str:
-        """Return the canonical encoding without the signature (memoized).
+        """Return the canonical encoding without the signature (cached).
 
         Single-element messages without TTL/scope keep the exact pre-fabric
         encoding, so their signatures are byte-identical to PR 4's.
         """
+        return self._encoded_unsigned
 
-        def compute() -> str:
-            parts = [f"link={_format_link(link)}" for link in self.failed_links]
-            parts.extend(f"as={as_id}" for as_id in self.failed_ases)
-            element = ";".join(parts)
-            extras = ""
-            if self.ttl_ms is not None:
-                extras += f",ttl={self.ttl_ms:.3f}"
-            if self.max_hops is not None:
-                extras += f",scope={self.max_hops}"
-            return (
-                f"revocation(origin={self.origin_as},seq={self.sequence},"
-                f"created={self.created_at_ms:.3f},{element}{extras})"
-            )
-
-        return _memo(self, "_encoded_unsigned", compute)
+    @cached_property
+    def _encoded_unsigned(self) -> str:
+        parts = [f"link={_format_link(link)}" for link in self.failed_links]
+        parts.extend(f"as={as_id}" for as_id in self.failed_ases)
+        element = ";".join(parts)
+        extras = ""
+        if self.ttl_ms is not None:
+            extras += f",ttl={self.ttl_ms:.3f}"
+        if self.max_hops is not None:
+            extras += f",scope={self.max_hops}"
+        return (
+            f"revocation(origin={self.origin_as},seq={self.sequence},"
+            f"created={self.created_at_ms:.3f},{element}{extras})"
+        )
 
     def size_bytes(self) -> int:
         """Return the size of the canonical encoding plus the signature."""
@@ -359,7 +360,7 @@ class PathRegistrationMessage(ControlMessage):
 
     def size_bytes(self) -> int:
         """Return the size of the carried segment's canonical encoding."""
-        return _memo(self, "_size_bytes", lambda: len(self.path.segment.encode()))
+        return self.path.segment.encoded_size()
 
     def trace_label(self) -> str:
         return (
@@ -389,8 +390,8 @@ class PullReturnMessage(ControlMessage):
             raise ConfigurationError("a pull-return message carries exactly one beacon")
 
     def size_bytes(self) -> int:
-        """Return the size of the beacon's canonical encoding (memoized)."""
-        return _memo(self, "_size_bytes", lambda: len(self.beacon.encode()))
+        """Return the size of the beacon's canonical encoding."""
+        return self.beacon.encoded_size()
 
     def trace_label(self) -> str:
         return (
@@ -418,7 +419,7 @@ class PathQueryMessage(ControlMessage):
 
     def size_bytes(self) -> int:
         """Return the (small, fixed-ish) wire size: key fields + policy."""
-        return _memo(self, "_size_bytes", lambda: 24 + len(self.query.policy_key()))
+        return 24 + len(self.query.policy_key())
 
     def trace_label(self) -> str:
         return (
@@ -454,12 +455,10 @@ class PathQueryResponse(ControlMessage):
 
     def size_bytes(self) -> int:
         """Return the summed segment encodings plus the echoed query."""
-        return _memo(
-            self,
-            "_size_bytes",
-            lambda: 24
+        return (
+            24
             + len(self.query.policy_key())
-            + sum(len(path.segment.encode()) for path in self.paths),
+            + sum(path.segment.encoded_size() for path in self.paths)
         )
 
     def trace_label(self) -> str:

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.core.beacon import _memo
 from repro.core.databases import PathService, RegisteredPath
 from repro.exceptions import ConfigurationError
 from repro.obs import spans as _spans
@@ -73,20 +73,20 @@ class PathQuery:
         Tag order is normalized, so two queries asking the same thing
         share one cache entry.
         """
-        return _memo(
-            self,
-            "_policy_key",
-            lambda: "tags={};lat={};bw={};limit={}".format(
-                ",".join(sorted(self.required_tags)),
-                self.max_latency_ms,
-                self.min_bandwidth_mbps,
-                self.limit,
-            ),
+        return self._policy_key
+
+    @cached_property
+    def _policy_key(self) -> str:
+        return "tags={};lat={};bw={};limit={}".format(
+            ",".join(sorted(self.required_tags)),
+            self.max_latency_ms,
+            self.min_bandwidth_mbps,
+            self.limit,
         )
 
     def cache_key(self) -> Tuple[int, str]:
         """The frontend cache key: ``(origin_as, policy_key)``."""
-        return _memo(self, "_cache_key", lambda: (self.origin_as, self.policy_key()))
+        return (self.origin_as, self._policy_key)
 
     def admits(self, path: RegisteredPath) -> bool:
         """Return whether ``path`` satisfies this query's policy."""

@@ -37,21 +37,21 @@ class ASKeyPair:
         count_crypto_op("signature_sign")
         if _spans.ENABLED:
             start = perf_counter()
-            signature = hmac.new(self.secret, message, hashlib.sha256).digest()
+            signature = hmac.digest(self.secret, message, "sha256")
             _spans.add("crypto.sign", perf_counter() - start)
             return signature
-        return hmac.new(self.secret, message, hashlib.sha256).digest()
+        return hmac.digest(self.secret, message, "sha256")
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Return ``True`` if ``signature`` is valid for ``message``."""
         count_crypto_op("signature_verify")
         if _spans.ENABLED:
             start = perf_counter()
-            expected = hmac.new(self.secret, message, hashlib.sha256).digest()
+            expected = hmac.digest(self.secret, message, "sha256")
             valid = hmac.compare_digest(expected, signature)
             _spans.add("crypto.verify", perf_counter() - start)
             return valid
-        expected = hmac.new(self.secret, message, hashlib.sha256).digest()
+        expected = hmac.digest(self.secret, message, "sha256")
         return hmac.compare_digest(expected, signature)
 
 

@@ -1,15 +1,19 @@
 """Equivalence tests for the beacon fast path.
 
-The hot-path optimizations (memoized encodings/digests, the sweep-based
-Pareto frontier and the ingress gateway's incremental signature
-verification) are pure performance work: they must be observationally
-identical to the naive implementations.  These property tests pin that
-down:
+The hot-path optimizations (derived beacon state carried from parent to
+child, the sweep-based Pareto frontier and the ingress gateway's
+incremental signature verification) are pure performance work: they must
+be observationally identical to the naive implementations.  These property
+tests pin that down:
 
-* the memoized digest equals an independent, from-scratch re-encoding and
-  re-hashing of the beacon after arbitrary ``with_entry``/termination
-  chains, and every element of the prefix-digest chain equals the digest
-  of the corresponding prefix beacon,
+* the digest equals an independent, from-scratch re-encoding and
+  re-hashing of the beacon after arbitrary extension/termination chains,
+  every element of the prefix-digest chain equals the digest of the
+  corresponding prefix beacon, and every derived value of a builder-made
+  beacon equals that of a freshly constructed ``Beacon(...)`` with the
+  same fields,
+* one extension does O(1) work whatever the hop count: one digest, one
+  signature and one static-info encoding,
 * the sweep/skyline ``pareto_frontier`` returns exactly the same labelled
   pairs (same order) as the quadratic reference on random vectors with 2–4
   metrics, including duplicates and maximize-objective metrics, and
@@ -39,9 +43,10 @@ from repro.core.beacon import Beacon, BeaconBuilder
 from repro.core.extensions import ExtensionSet
 from repro.core.ingress import IngressGateway, VerifiedPrefixCache
 from repro.core.staticinfo import StaticInfo
+from repro.crypto.hashing import perf_counters
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import Signer, Verifier
-from repro.exceptions import SignatureError
+from repro.exceptions import BeaconError, LoopError, SignatureError
 
 # ----------------------------------------------------------------------
 # strategies
@@ -53,6 +58,30 @@ bandwidths = st.one_of(
 
 hop_specs = st.lists(
     st.tuples(latencies, latencies, bandwidths), min_size=1, max_size=7
+)
+interfaces = st.integers(min_value=1, max_value=8)
+#: One builder operation after the origination: (AS offset, ingress,
+#: egress, intra latency, link latency, bandwidth).  Each step's AS is the
+#: previous one plus the offset, so a non-positive offset can revisit an
+#: AS, which the builder must refuse as a loop.
+builder_steps = st.lists(
+    st.tuples(
+        st.integers(min_value=-2, max_value=3),
+        interfaces,
+        interfaces,
+        latencies,
+        latencies,
+        bandwidths,
+    ),
+    min_size=0,
+    max_size=7,
+)
+extension_sets = st.sampled_from(
+    [
+        None,
+        ExtensionSet().with_interface_group(3),
+        ExtensionSet().with_target(77),
+    ]
 )
 
 
@@ -137,12 +166,137 @@ class TestDigestEquivalence:
         parent = build_chain(key_store, [(0.0, 5.0, 100.0), (1.0, 5.0, 100.0)])
         builder = BeaconBuilder(as_id=99, signer=Signer(as_id=99, key_store=key_store))
         child = builder.extend(parent, ingress_interface=1, egress_interface=2)
-        # The shared entries are the same objects, so their encodings are
-        # computed once and shared between parent and child.
+        # The child shares the parent's entry objects and carries the
+        # parent's prefix digests instead of recomputing them.
         assert child.entries[:2] == parent.entries[:2]
         assert child.entries[0] is parent.entries[0]
+        assert child.prefix_digests()[:2] == parent.prefix_digests()
+        assert child.prefix_digests()[1] is parent.digest()
         assert child.digest() != parent.digest()
         assert hashlib.sha256(naive_encode(child)).hexdigest() == child.digest()
+
+
+def fresh_copy(beacon: Beacon) -> Beacon:
+    """Construct ``beacon`` anew from its fields, so every derived value is
+    computed from scratch instead of carried from a parent."""
+    return Beacon(
+        origin_as=beacon.origin_as,
+        created_at_ms=beacon.created_at_ms,
+        entries=beacon.entries,
+        extensions=beacon.extensions,
+        validity_ms=beacon.validity_ms,
+        beacon_id=beacon.beacon_id,
+    )
+
+
+def build_steps(key_store, origin_info, steps, extensions, created_at_ms, validity_ms):
+    """Run one originate plus ``steps`` through ``BeaconBuilder``.
+
+    Returns every beacon built, in order.  A step whose AS is already on the
+    path must raise :class:`LoopError`; a step after a termination must
+    raise :class:`BeaconError`.  A step terminates when its egress
+    interface is 8.
+    """
+    intra, link, bandwidth = origin_info
+    beacon = BeaconBuilder(as_id=1, signer=Signer(as_id=1, key_store=key_store)).originate(
+        egress_interface=1,
+        created_at_ms=created_at_ms,
+        static_info=StaticInfo(link_latency_ms=link, link_bandwidth_mbps=bandwidth),
+        extensions=extensions,
+        validity_ms=validity_ms,
+    )
+    built = [beacon]
+    as_id = 1
+    for offset, ingress, egress, intra, link, bandwidth in steps:
+        as_id += offset
+        builder = BeaconBuilder(as_id=as_id, signer=Signer(as_id=as_id, key_store=key_store))
+        if egress == 8:
+            operation, args = builder.terminate, (beacon, ingress)
+            info = StaticInfo(intra_latency_ms=intra)
+        else:
+            operation, args = builder.extend, (beacon, ingress, egress)
+            info = StaticInfo(intra, link, bandwidth)
+        if beacon.is_terminated or beacon.contains_as(as_id):
+            refusal = BeaconError if beacon.is_terminated else LoopError
+            with pytest.raises(refusal):
+                operation(*args, static_info=info)
+            continue
+        beacon = operation(*args, static_info=info)
+        built.append(beacon)
+    return built
+
+
+class TestBuilderEquivalence:
+    @given(
+        origin_info=st.tuples(latencies, latencies, bandwidths),
+        steps=builder_steps,
+        extensions=extension_sets,
+        created_at_ms=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+        validity_ms=st.floats(min_value=1.0, max_value=1e8, allow_nan=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_built_beacons_equal_fresh_construction(
+        self, origin_info, steps, extensions, created_at_ms, validity_ms
+    ):
+        key_store = KeyStore()
+        built = build_steps(
+            key_store, origin_info, steps, extensions, created_at_ms, validity_ms
+        )
+        for beacon in built:
+            fresh = fresh_copy(beacon)
+            assert fresh == beacon
+            assert beacon.encode() == fresh.encode() == naive_encode(beacon)
+            assert beacon.encoded_size() == len(naive_encode(beacon))
+            assert beacon.digest() == fresh.digest()
+            assert beacon.digest() == hashlib.sha256(naive_encode(beacon)).hexdigest()
+            assert beacon.prefix_digests() == fresh.prefix_digests()
+            assert beacon.prefix_digests() == tuple(
+                hashlib.sha256(
+                    naive_encode(replace(beacon, entries=beacon.entries[: index + 1]))
+                ).hexdigest()
+                for index in range(beacon.hop_count)
+            )
+            assert beacon.as_path() == fresh.as_path()
+            assert beacon.as_path() == tuple(entry.as_id for entry in beacon.entries)
+            for as_id in {*beacon.as_path(), 99}:
+                assert beacon.contains_as(as_id) == fresh.contains_as(as_id)
+                assert beacon.contains_as(as_id) == (as_id in beacon.as_path())
+            assert beacon.links() == fresh.links()
+            assert beacon.link_set() == fresh.link_set()
+            assert beacon.total_latency_ms() == fresh.total_latency_ms()
+            assert beacon.bottleneck_bandwidth_mbps() == fresh.bottleneck_bandwidth_mbps()
+            beacon.verify(Verifier(key_store=key_store))
+            fresh.verify(Verifier(key_store=key_store))
+        # Derived state never shows in equality, hashing or repr.
+        last = built[-1]
+        assert hash(fresh_copy(last)) == hash(last)
+        assert repr(fresh_copy(last)) == repr(last)
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3, 5, 8, 12])
+def test_one_extension_does_constant_work(hops, key_store, monkeypatch):
+    """One ``extend`` of an L-hop beacon, with the digest and prefix chain
+    every receiver reads, costs one digest, one signature and one
+    static-info encoding — independent of L."""
+    parent = build_chain(key_store, [(1.0, 2.0, 100.0)] * hops)
+    parent.digest()
+    builder = BeaconBuilder(as_id=500, signer=Signer(as_id=500, key_store=key_store))
+    encoded = []
+    original_encode = StaticInfo.encode
+    monkeypatch.setattr(
+        StaticInfo, "encode", lambda info: encoded.append(info) or original_encode(info)
+    )
+    before = perf_counters()
+    child = builder.extend(
+        parent, ingress_interface=3, egress_interface=4, static_info=StaticInfo(1.0, 2.0, 50.0)
+    )
+    child.digest()
+    child.prefix_digests()
+    after = perf_counters()
+    assert after["beacon_digest"] - before["beacon_digest"] == 1
+    assert after["signature_sign"] - before["signature_sign"] == 1
+    assert len(encoded) == 1
+    assert child.hop_count == hops + 1
 
 
 # ----------------------------------------------------------------------
